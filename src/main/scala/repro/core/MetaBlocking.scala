@@ -9,9 +9,10 @@ import org.apache.spark.sql.functions._
   * Profiles are nodes, co-occurrence in a block is an edge; edges are
   * weighted and the graph is pruned, the survivors being the candidate
   * pairs. This is the DataFrame implementation (Catalyst plans the joins
-  * and aggregations); [[BroadcastMetaBlocking]] is the paper's explicit
-  * broadcast-join-style parallelization, kept for the scaling experiment
-  * and tested for parity with this one.
+  * and aggregations over the full edge list). It is the oracle: the
+  * pipeline runs the paper's broadcast-join-style engine,
+  * [[BroadcastMetaBlocking]], and the parity tests, T4 and the benchmark's
+  * traced run compare that engine with this one.
   */
 object MetaBlocking {
 
@@ -85,8 +86,10 @@ object MetaBlocking {
 
   /** Weighted Edge Pruning: keep edges with weight ≥ factor · global mean. */
   def wep(edges: DataFrame, factor: Double = 1.0): DataFrame = {
-    val mean = edges.agg(avg("weight")).first().getDouble(0)
-    edges.where(col("weight") >= lit(factor * mean))
+    val mean = edges.agg(avg("weight")).first()
+    // No edges, no mean: the (empty) edge set is the result.
+    if (mean.isNullAt(0)) edges
+    else edges.where(col("weight") >= lit(factor * mean.getDouble(0)))
   }
 
   /** Per-node thresholds over the edge list: (node, theta). */

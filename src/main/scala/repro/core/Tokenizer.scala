@@ -3,10 +3,9 @@ package repro.core
 /** Schema-agnostic tokenization.
   *
   * The blocker treats every profile as a bag of words (§1 of the paper):
-  * values are lowercased and split on any non-letter/non-digit run. Tokens
-  * shorter than `minLength` and stopwords are dropped — purging removes
-  * huge stopword blocks anyway, but dropping 1-char noise keeps the block
-  * collection (and the oracle tables) small.
+  * values are lowercased and split on any non-letter/non-digit run, and
+  * tokens shorter than `minLength` are dropped. There is no stopword list:
+  * purging removes the huge blocks of stopwords.
   */
 object Tokenizer {
 

@@ -185,7 +185,9 @@ object Experiments {
       millis: Long)
 
   /** Scaling: blocker wall-clock vs. parallelism, DataFrame meta-blocking
-    * vs. the paper's broadcast-style implementation.
+    * vs. the paper's broadcast-style implementation. The "dataframe
+    * blocker" sweep rows keep their label but run the pipeline's blocker,
+    * whose meta-blocking is the broadcast engine.
     */
   def table4(
       spark: SparkSession,

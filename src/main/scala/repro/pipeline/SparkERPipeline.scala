@@ -63,7 +63,8 @@ object SparkERPipeline {
       clusters: DataFrame)
 
   /** Blocker (Fig 4): loose schema generation (optional) → token blocking
-    * → purging → filtering → meta-blocking → candidate pairs.
+    * → purging → filtering → meta-blocking → candidate pairs. Meta-blocking
+    * runs on the paper's broadcast engine, [[BroadcastMetaBlocking]].
     */
   def blocker(profiles: Dataset[Profile], cfg: SparkERConfig): BlockerResult = {
     val spark = profiles.sparkSession
@@ -85,20 +86,20 @@ object SparkERPipeline {
     val filtered = BlockFiltering.filter(purged, cfg.filterRatio)
     val assignments = TokenBlocking.validBlocks(filtered, cfg.mode).cache()
     val nBlocks = assignments.select("key").distinct().count()
+    // The count materialised the cached assignments; nothing reads kv again.
+    kv.unpersist()
 
+    def metaBlocking(p: BroadcastMetaBlocking.Pruning): DataFrame =
+      BroadcastMetaBlocking
+        .candidates(assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy, p)
+        .select("p1", "p2")
     val candidates = cfg.pruning match {
-      case PruningStrategy.NoPruning =>
-        TokenBlocking.comparisons(assignments, cfg.mode)
-      case p =>
-        val edges =
-          MetaBlocking.edges(assignments, cfg.mode, cfg.weightScheme, cfg.useEntropy)
-        (p match {
-          case PruningStrategy.Wep(f) => MetaBlocking.wep(edges, f)
-          case PruningStrategy.Wnp(kind, combine) => MetaBlocking.wnp(edges, kind, combine)
-          case PruningStrategy.Cep(k) => MetaBlocking.cep(edges, k)
-          case PruningStrategy.Cnp(k) => MetaBlocking.cnp(edges, k)
-          case PruningStrategy.NoPruning => edges // unreachable
-        }).select("p1", "p2")
+      case PruningStrategy.NoPruning => TokenBlocking.comparisons(assignments, cfg.mode)
+      case PruningStrategy.Wep(f) => metaBlocking(BroadcastMetaBlocking.Pruning.Wep(f))
+      case PruningStrategy.Wnp(kind, combine) =>
+        metaBlocking(BroadcastMetaBlocking.Pruning.Wnp(kind, combine))
+      case PruningStrategy.Cep(k) => metaBlocking(BroadcastMetaBlocking.Pruning.Cep(k))
+      case PruningStrategy.Cnp(k) => metaBlocking(BroadcastMetaBlocking.Pruning.Cnp(k))
     }
     BlockerResult(clustersDf, assignments, candidates.cache(), nBlocks)
   }
